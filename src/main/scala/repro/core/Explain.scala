@@ -26,8 +26,9 @@ final case class Question(
   *
   * ``ops`` are operator ids; ``labels`` the paper-style rendering;
   * ``saIndex`` the schema alternative it came from (0 = original);
-  * ``witnesses`` how many traced rows support it (a loose side-effect
-  * upper bound Δ+, §5.4).
+  * ``witnesses`` the number of consistent witness rows whose failure
+  * set yields it, summed over the SAs that yield it (a support count, not
+  * §5.4's side-effect bound Δ+; ranking does not use it).
   */
 final case class Explanation(ops: Set[Int], labels: Set[String], saIndex: Int, witnesses: Long) {
   override def toString: String = labels.toSeq.sorted.mkString("{", ", ", "}")
@@ -50,23 +51,24 @@ object Explain {
     run(q, Seq(SchemaAlternative(0, q.query, Set.empty, Map.empty)), ts)
   }
 
+  /** Alg. 1 over ``sas``: backtrace each SA, trace them together, and
+    * read every SA's witness fail-sets with one Spark job per shared plan.
+    */
   private def run(q: Question, sas: Seq[SchemaAlternative],
                   ts: Map[String, Seq[String]]): Seq[Explanation] = {
+    val placed = sas.map(sa => sa.query -> Placement.backtrace(sa.query, q.nip, ts))
     val found = scala.collection.mutable.Map.empty[Set[Int], Explanation]
-
-    sas.foreach { sa =>
-      val placement = Placement.backtrace(sa.query, q.nip, ts)
-      val traced    = Trace.trace(sa.query, q.tables, placement, ts)
-      witnessFailSets(traced).foreach { case (failSet, n) =>
-        val ops = sa.sr ++ failSet
-        if (ops.nonEmpty) {
-          found(ops) = found.get(ops) match {
-            case Some(prev) => prev.copy(saIndex = math.min(prev.saIndex, sa.index),
-                                         witnesses = prev.witnesses + n)
-            case None => Explanation(ops, ops.map(labelOf(q.query, _)), sa.index, n)
-          }
-        }
-      }
+    for {
+      shared <- Trace.traceAll(placed, q.tables, ts)
+      (i, failSets) <- witnessFailSets(shared)
+      sa = sas(i)
+      (failSet, n) <- failSets
+      ops = sa.sr ++ failSet
+      if ops.nonEmpty
+    } found(ops) = found.get(ops) match {
+      case Some(prev) => prev.copy(saIndex = math.min(prev.saIndex, sa.index),
+                                   witnesses = prev.witnesses + n)
+      case None => Explanation(ops, ops.map(labelOf(q.query, _)), sa.index, n)
     }
     rank(q.query, found.values.toSeq)
   }
@@ -74,20 +76,26 @@ object Explain {
   /** Distinct failure sets over consistent witness rows, with support
     * counts: exactly the set Alg. 4 enumerates (DESIGN.md §2).
     */
-  def witnessFailSets(traced: Traced): Seq[(Set[Int], Long)] = {
-    if (traced.tracked.isEmpty) {
-      val n = traced.df.filter(col(traced.consistent)).count()
-      return if (n > 0) Seq((Set.empty[Int], n)) else Seq.empty
+  def witnessFailSets(traced: Traced): Seq[(Set[Int], Long)] =
+    witnessFailSets(SharedTrace(traced.df, Seq(0 -> traced))).getOrElse(0, Seq.empty)
+
+  /** The fail-sets above for every lane of ``shared``, keyed by lane, in
+    * one Spark job: each row yields one (lane, failed operator ids) entry
+    * per lane it is consistent in, and one ``groupBy`` counts them. The
+    * rows are first filtered to those consistent in some lane, so that
+    * Catalyst can push the consistency constraints below the joins.
+    */
+  def witnessFailSets(shared: SharedTrace): Map[Int, Seq[(Set[Int], Long)]] = {
+    val entries = shared.lanes.map { case (i, t) =>
+      val failed = t.tracked.map(op => when(!coalesce(col(op.retCol), lit(false)), lit(op.opId)))
+      val failIds = if (failed.isEmpty) typedLit(Seq.empty[Int]) else array_compact(array(failed: _*))
+      (coalesce(col(t.consistent), lit(false)), struct(lit(i).as("lane"), failIds.as("failed")))
     }
-    val flags = traced.tracked.map(t => coalesce(col(t.retCol), lit(false)).as(t.retCol))
-    val rows = traced.df.filter(col(traced.consistent))
-      .groupBy(flags: _*).count().collect()
-    rows.toSeq.map { r =>
-      val failSet = traced.tracked.zipWithIndex.collect {
-        case (t, i) if !r.getBoolean(i) => t.opId
-      }.toSet
-      (failSet, r.getLong(traced.tracked.size))
-    }
+    shared.df.filter(entries.map(_._1).reduce(_ || _))
+      .select(explode(array_compact(array(entries.map { case (c, e) => when(c, e) }: _*))).as("w"))
+      .groupBy(col("w.lane"), col("w.failed")).count().collect().toSeq
+      .groupBy(_.getInt(0))
+      .map { case (i, rows) => i -> rows.map(r => (r.getSeq[Int](1).toSet, r.getLong(2))) }
   }
 
   /** Def. 9 ordering, totalized: fewer changed operators first; within a

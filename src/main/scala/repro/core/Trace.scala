@@ -1,10 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.expressions.{Window, WindowSpec}
 import org.apache.spark.sql.functions._
 import repro.nrab._
-import repro.whynot.{NAny, NBag, NCmp, NConst, NTup, Nip}
+import repro.whynot.{NAny, NCmp, NConst, Nip}
+import scala.collection.mutable
 
 /** One tracked (reparameterizable, tuple-pruning) operator of the traced
   * pipeline with the physical column holding its retained flag.
@@ -27,6 +28,9 @@ final case class TrackedOp(opId: Int, retCol: String)
   *                   revalidation (for the lineage-based baselines)
   *  - ``wnJoin``     per join: original-world partner-existence flags for
   *                   the left/right lineage (baseline path deaths)
+  *
+  * ``df`` may be shared with other schema alternatives (see
+  * [[SharedTrace]]); the physical columns named here are this SA's.
   */
 final case class Traced(
     df: DataFrame,
@@ -43,6 +47,18 @@ final case class Traced(
       s"unresolvable attribute $name (have ${cols.keys.toSeq.sorted.mkString(", ")})")))
 }
 
+/** Schema alternatives traced in one plan (the paper's merged SA
+  * relation, §6.3): ``df`` holds the rows they share and ``lanes`` one
+  * annotated view per SA, keyed by the SA's position in the input of
+  * [[Trace.traceAll]]. Every lane's ``df`` is ``df``.
+  */
+final case class SharedTrace(df: DataFrame, lanes: Seq[(Int, Traced)])
+
+/** The tracer does not support operator ``opId`` of the query; raised by
+  * a check of the whole query before any DataFrame is built.
+  */
+final class UntraceableOpException(val opId: Int, msg: String) extends UnsupportedOperationException(msg)
+
 object Trace {
 
   /** Trace ``query`` (already substituted for one SA) over ``catalog``
@@ -52,214 +68,246 @@ object Trace {
     */
   def trace(query: Op, catalog: Map[String, DataFrame], placement: Placement,
             tableSchemas: Map[String, Seq[String]],
-            compatOverride: Map[String, Pred] = Map.empty): Traced = {
-    val namer = new Namer
-    go(query, catalog, placement, tableSchemas, namer, compatOverride)
+            compatOverride: Map[String, Pred] = Map.empty): Traced =
+    traceAll(Seq(query -> placement), catalog, tableSchemas, compatOverride).head.lanes.head._2
+
+  /** Trace the schema alternatives ``sas`` (substituted query, placement)
+    * together. SAs have the same operator tree and only three operators
+    * change which rows exist: table access, relation flatten and join.
+    * So SAs share one DataFrame until they explode different columns at a
+    * relation flatten, or join different inputs or on different key
+    * columns; there they split into groups. Everything else (flags,
+    * derived and promoted columns, aggregate windows) is a per-SA column
+    * on the shared rows, one per distinct expression.
+    */
+  def traceAll(sas: Seq[(Op, Placement)], catalog: Map[String, DataFrame],
+               tableSchemas: Map[String, Seq[String]],
+               compatOverride: Map[String, Pred] = Map.empty): Seq[SharedTrace] = {
+    val queries = sas.map(_._1).toIndexedSeq
+    check(queries)
+    new Tracer(sas.map(_._2).toIndexedSeq, catalog, tableSchemas, compatOverride).go(queries)
   }
 
-  private final class Namer {
-    private var n = 0
-    def fresh(hint: String): String = { n += 1; s"__c${n}_$hint" }
+  /** Reject what the tracer cannot trace before any DataFrame is built. */
+  private def check(queries: IndexedSeq[Op]): Unit = {
+    require(queries.nonEmpty, "no query to trace")
+    queries.head.allOps.collectFirst { case u: UnionOp => u }.foreach { u =>
+      throw new UntraceableOpException(u.id, s"tracing through union is not supported (${u.label})")
+    }
+    def shape(q: Op) = q.allOps.map(o => (o.id, o.getClass))
+    require(queries.forall(q => shape(q) == shape(queries.head)),
+      "schema alternatives must share the operator tree of the query")
   }
 
   private def bool(c: Column): Column = coalesce(c, lit(false))
 
-  private def go(op: Op, catalog: Map[String, DataFrame], placement: Placement,
-                 ts: Map[String, Seq[String]], nm: Namer,
-                 compatOverride: Map[String, Pred]): Traced = op match {
+  /** The new columns of one operator over one DataFrame: each distinct
+    * expression becomes one physical column, however many SAs ask for it.
+    */
+  private final class NewCols(fresh: String => String) {
+    private val exprs = mutable.LinkedHashMap.empty[Column, String]
+    def apply(e: Column, hint: String): String = exprs.getOrElseUpdate(e, fresh(hint))
+    def columns: Seq[Column] = exprs.toSeq.map { case (e, n) => e.as(n) }
+    def addTo(df: DataFrame): DataFrame =
+      if (exprs.isEmpty) df else df.select(col("*") +: columns: _*)
+  }
 
-    case TableAccess(_, name) =>
+  /** Groups of ``xs`` with equal ``key``, in order of first appearance. */
+  private def groupInOrder[A, K](xs: Seq[A])(key: A => K): Seq[Seq[A]] = {
+    val keys = xs.map(key)
+    keys.distinct.map(k => xs.zip(keys).collect { case (x, `k`) => x })
+  }
+
+  private final class Tracer(placements: IndexedSeq[Placement], catalog: Map[String, DataFrame],
+                             ts: Map[String, Seq[String]], compatOverride: Map[String, Pred]) {
+    private var n = 0
+    private def fresh(hint: String): String = { n += 1; s"__c${n}_$hint" }
+
+    /** Trace one position of the aligned SA trees (``ops(i)`` is SA i's
+      * operator there).
+      */
+    def go(ops: IndexedSeq[Op]): Seq[SharedTrace] = ops.head match {
+      case TableAccess(_, name) => Seq(scan(name, ops.indices))
+      case _: Join              => join(ops.map(_.asInstanceOf[Join]))
+      case _: FlattenRel        => flattenRel(ops.map(_.asInstanceOf[FlattenRel]))
+      case _ =>
+        go(ops.map(_.children.head)).map(annotate(_)((i, t, c) => rowGrain(ops(i), placements(i), t, c)))
+    }
+
+    /** Add the per-SA columns ``f`` asks for with one select. */
+    private def annotate(s: SharedTrace)(f: (Int, Traced, NewCols) => Traced): SharedTrace = {
+      val c = new NewCols(fresh)
+      val lanes = s.lanes.map { case (i, t) => i -> f(i, t, c) }
+      val df = c.addTo(s.df)
+      SharedTrace(df, lanes.map { case (i, t) => i -> t.copy(df = df) })
+    }
+
+    private def scan(name: String, lanes: Seq[Int]): SharedTrace = {
       val src = catalog(name)
-      val colMap = src.columns.map(c => c -> nm.fresh(c)).toMap
-      val consCol = nm.fresh("consistent"); val aliveCol = nm.fresh("alive")
-      val compatCol = nm.fresh(s"compat_$name")
-      val consExpr = bool(Nip.toColumn(placement.nipFor(name), n => src(n)))
+      val colMap = src.columns.map(c => c -> fresh(c)).toMap
       // compat-override predicates may use dotted paths into structs
-      def dotted(n: String): org.apache.spark.sql.Column = {
+      def dotted(n: String): Column = {
         val parts = n.split('.'); parts.tail.foldLeft(src(parts.head))(_.getField(_))
       }
-      val compatExpr = compatOverride.get(name)
-        .map(p => bool(p.toColumn(dotted))).getOrElse(consExpr)
-      val df = src.select(
-        src.columns.map(c => src(c).as(colMap(c))) ++
-          Seq(consExpr.as(consCol), compatExpr.as(compatCol), lit(true).as(aliveCol)): _*)
-      Traced(df, colMap, consCol, aliveCol, Seq.empty, Map(name -> compatCol), Map.empty, Set(name))
+      val nc = new NewCols(fresh)
+      val alive = nc(lit(true), "alive")
+      val flags = lanes.map { i =>
+        val cons = bool(Nip.toColumn(placements(i).nipFor(name), n => src(n)))
+        val compat = compatOverride.get(name).map(p => bool(p.toColumn(dotted))).getOrElse(cons)
+        (i, nc(cons, "consistent"), nc(compat, s"compat_$name"))
+      }
+      val df = src.select(src.columns.map(c => src(c).as(colMap(c))) ++ nc.columns: _*)
+      SharedTrace(df, flags.map { case (i, cons, compat) =>
+        i -> Traced(df, colMap, cons, alive, Seq.empty, Map(name -> compat), Map.empty, Set(name))
+      })
+    }
 
-    case Selection(id, pred, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      val retCol = nm.fresh(s"ret_$id"); val aliveCol = nm.fresh("alive")
-      val df = t.df
-        .withColumn(retCol, bool(pred.toColumn(t.resolve)))
-        .withColumn(aliveCol, col(t.alive) && col(retCol))
-      t.copy(df = df, alive = aliveCol, tracked = t.tracked :+ TrackedOp(id, retCol))
+    /** Operators that keep the rows: one SA's new columns. */
+    private def rowGrain(op: Op, placement: Placement, t: Traced, c: NewCols): Traced = op match {
+      case Selection(id, pred, _) =>
+        val ret = bool(pred.toColumn(t.resolve))
+        t.copy(alive = c(col(t.alive) && ret, "alive"), tracked = t.tracked :+ TrackedOp(id, c(ret, s"ret_$id")))
 
-    case Projection(id, cols, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      var df = t.df
-      var virt = Set.empty[String]
-      val newMap = cols.flatMap { c =>
-        c.expr match {
-          // nesting outputs have no physical column at row grain; they
-          // stay virtual and pass through projections untouched
-          case Attr(n) if t.virtual.contains(n) => virt += c.out; None
-          case Attr(n) => Some(c.out -> t.cols(n))
-          case e =>
-            val pc = nm.fresh(c.out)
-            df = df.withColumn(pc, e.toColumn(t.resolve))
-            Some(c.out -> pc)
+      case Projection(id, cols, _) =>
+        // nesting outputs have no physical column at row grain; they
+        // stay virtual and pass through projections untouched
+        val (virt, kept) = cols.partition(pc => pc.expr match {
+          case Attr(a) => t.virtual.contains(a)
+          case _       => false
+        })
+        val exprs = kept.map(pc => pc.out -> pc.expr.toColumn(t.resolve)).toMap
+        val newMap = kept.map { pc =>
+          pc.expr match {
+            case Attr(a) => pc.out -> t.cols(a)
+            case _       => pc.out -> c(exprs(pc.out), pc.out)
+          }
+        }.toMap
+        val checks = placement.derivedChecks.getOrElse(id, Seq.empty).map { case (o, nip) => (exprs(o), nip) }
+        t.copy(cols = newMap, consistent = withChecks(t.consistent, checks, c), virtual = virt.map(_.out).toSet)
+
+      case Renaming(_, renames, _) =>
+        t.copy(cols = renames.map { case (nu, old) => nu -> t.cols(old) }.toMap)
+
+      case f @ FlattenTup(id, attr, _, _) =>
+        val (promoted, cons) = promote(id, Flattens.aliases(f, ts), col(t.cols(attr)), placement, t, c)
+        t.copy(cols = t.cols ++ promoted, consistent = cons)
+
+      case Agg(id, groupBy, aggs, _) =>
+        val keyCols = groupBy.map { case (_, a) => col(t.cols(a)) }
+        val w = if (keyCols.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keyCols: _*)
+        val outMap = groupBy.map { case (o, a) => o -> t.cols(a) }.toMap ++
+          aggs.map(spec => spec.out -> c(origAggValue(spec, t, w), spec.out))
+        // aggregate-constraint satisfiability under full relaxation
+        val checks = placement.aggChecks.getOrElse(id, Seq.empty).map { case (out, prim) =>
+          val spec = aggs.find(_.out == out).getOrElse(
+            throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
+          val (lo, hi) = relaxedRange(spec, t, w)
+          bool(satisfiable(prim, lo, hi))
         }
-      }.toMap
-      val checks = placement.derivedChecks.getOrElse(id, Seq.empty)
-      val (df2, cons2) = addChecks(df, t.consistent, checks.map { case (o, n) => (newMap(o), n) }, nm)
-      t.copy(df = df2, cols = newMap, consistent = cons2, virtual = virt)
+        val cons = if (checks.isEmpty) t.consistent
+                   else c(checks.foldLeft(col(t.consistent))(_ && _), "consistent")
+        t.copy(cols = outMap, consistent = cons)
 
-    case Renaming(_, renames, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      t.copy(cols = renames.map { case (nu, old) => nu -> t.cols(old) }.toMap)
+      // Nesting keeps row grain in the tracer: the group members stay
+      // visible and the element constraints were already pushed to them by
+      // backtracing; the nested attribute becomes a *virtual* column that
+      // downstream projections may pass through but no predicate may read.
+      case NestRel(_, _, out, _) => t.copy(virtual = t.virtual + out)
+      case NestTup(_, _, out, _) => t.copy(virtual = t.virtual + out)
+      case Dedup(_, _)           => t
+      case other => throw new UntraceableOpException(other.id, s"cannot trace ${other.label}")
+    }
 
-    case f @ FlattenRel(id, attr, outer, in, _) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      val x = nm.fresh("x")
-      var df = t.df.withColumn(x, explode_outer(col(t.cols(attr))))
-      val promoted = Flattens.aliases(f, ts).map { case (out, field) =>
-        val pc = nm.fresh(out)
-        df = df.withColumn(pc, col(x).getField(field))
-        out -> pc
-      }.toMap
-      val newMap = (t.cols - attr) ++ promoted
-      var t2 = t.copy(df = df, cols = newMap)
-      if (!outer) {
-        val retCol = nm.fresh(s"ret_$id"); val aliveCol = nm.fresh("alive")
-        val df2 = t2.df
-          .withColumn(retCol, col(x).isNotNull)
-          .withColumn(aliveCol, col(t2.alive) && col(retCol))
-        t2 = t2.copy(df = df2, alive = aliveCol, tracked = t2.tracked :+ TrackedOp(id, retCol))
+    /** Promote the fields ``aliases`` of the nested value ``from`` and
+      * revalidate the flatten's checks on them: the promoted columns and
+      * the new consistency flag.
+      */
+    private def promote(id: Int, aliases: Seq[(String, String)], from: Column, placement: Placement,
+                        t: Traced, c: NewCols): (Map[String, String], String) = {
+      val exprs = aliases.map { case (out, field) => out -> from.getField(field) }.toMap
+      val checks = placement.flattenChecks.getOrElse(id, Seq.empty).map { case (o, nip) => (exprs(o), nip) }
+      (exprs.map { case (out, e) => out -> c(e, out) }, withChecks(t.consistent, checks, c))
+    }
+
+    /** Relation flatten: SAs exploding the same physical column share
+      * one explode.
+      */
+    private def flattenRel(ops: IndexedSeq[FlattenRel]): Seq[SharedTrace] =
+      go(ops.map(_.in)).flatMap { s =>
+        groupInOrder(s.lanes) { case (i, t) => t.cols(ops(i).attr) }.map { lanes =>
+          val x = fresh("x")
+          val arr = lanes.head match { case (i, t) => t.cols(ops(i).attr) }
+          annotate(SharedTrace(s.df.select(col("*"), explode_outer(col(arr)).as(x)), lanes)) { (i, t, c) =>
+            val f = ops(i)
+            val (promoted, cons) = promote(f.id, Flattens.aliases(f, ts), col(x), placements(i), t, c)
+            val t2 = t.copy(cols = (t.cols - f.attr) ++ promoted, consistent = cons)
+            if (f.outer) t2
+            else {
+              val ret = col(x).isNotNull
+              t2.copy(alive = c(col(t.alive) && ret, "alive"),
+                      tracked = t.tracked :+ TrackedOp(f.id, c(ret, s"ret_${f.id}")))
+            }
+          }
+        }
       }
-      val checks = placement.flattenChecks.getOrElse(id, Seq.empty)
-      val (df3, cons2) = addChecks(t2.df, t2.consistent, checks.map { case (o, n) => (promoted(o), n) }, nm)
-      t2.copy(df = df3, consistent = cons2)
 
-    case f @ FlattenTup(id, attr, in, _) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      var df = t.df
-      val promoted = Flattens.aliases(f, ts).map { case (out, field) =>
-        val pc = nm.fresh(out)
-        df = df.withColumn(pc, col(t.cols(attr)).getField(field))
-        out -> pc
-      }.toMap
-      val checks = placement.flattenChecks.getOrElse(id, Seq.empty)
-      val (df2, cons2) = addChecks(df, t.consistent, checks.map { case (o, n) => (promoted(o), n) }, nm)
-      t.copy(df = df2, cols = t.cols ++ promoted, consistent = cons2)
+    /** Join, generalized to a full outer join: SAs whose inputs are the
+      * same shared DataFrames and whose key columns agree share one join.
+      */
+    private def join(ops: IndexedSeq[Join]): Seq[SharedTrace] = {
+      val left = go(ops.map(_.left)); val right = go(ops.map(_.right))
+      def sides(ss: Seq[SharedTrace]): Map[Int, (Int, Traced)] =
+        ss.zipWithIndex.flatMap { case (s, k) => s.lanes.map { case (i, t) => i -> (k, t) } }.toMap
+      val (ls, rs) = (sides(left), sides(right))
+      def keys(i: Int) = ops(i).conds.map { case (a, b) => (ls(i)._2.cols(a), rs(i)._2.cols(b)) }
+      val laneIds = left.flatMap(_.lanes.map(_._1))
+      groupInOrder(laneIds)(i => (ls(i)._1, rs(i)._1, keys(i))).map { group =>
+        val (pl, pr)     = (fresh("pL"), fresh("pR"))
+        val (lrid, rrid) = (fresh("lrid"), fresh("rrid"))
+        val ldf = left(ls(group.head)._1).df.select(col("*"), lit(1).as(pl), monotonically_increasing_id().as(lrid))
+        val rdf = right(rs(group.head)._1).df.select(col("*"), lit(1).as(pr), monotonically_increasing_id().as(rrid))
+        val conds = keys(group.head)
+        val cond = conds.map { case (a, b) => ldf(a) === rdf(b) }.reduceOption(_ && _).getOrElse(lit(true))
+        val df = ldf.join(rdf, cond, "full_outer")
 
-    case Join(id, kind, conds, l, r) =>
-      val tl = go(l, catalog, placement, ts, nm, compatOverride)
-      val tr = go(r, catalog, placement, ts, nm, compatOverride)
-      val (pl, pr)    = (nm.fresh("pL"), nm.fresh("pR"))
-      val (lrid, rrid) = (nm.fresh("lrid"), nm.fresh("rrid"))
-      val ldf = tl.df.withColumn(pl, lit(1)).withColumn(lrid, monotonically_increasing_id())
-      val rdf = tr.df.withColumn(pr, lit(1)).withColumn(rrid, monotonically_increasing_id())
-      val cond = conds.map { case (a, b) => ldf(tl.cols(a)) === rdf(tr.cols(b)) }
-        .reduceOption(_ && _).getOrElse(lit(true))
-      var df = ldf.join(rdf, cond, "full_outer")
+        val hasL = col(pl).isNotNull; val hasR = col(pr).isNotNull
+        val lKeyNull = conds.map { case (a, _) => col(a).isNull }.reduceOption(_ || _).getOrElse(lit(false))
+        val rKeyNull = conds.map { case (_, b) => col(b).isNull }.reduceOption(_ || _).getOrElse(lit(false))
+        // retained under the *original* join type, evaluated on the traced
+        // (relaxed) inputs; rows padded because an upstream operator punched
+        // a hole (null keys from padding) are not this join's fault.
+        val baseRet = ops.head.kind match {
+          case JoinKind.Inner => hasL && hasR
+          case JoinKind.Left  => hasL
+          case JoinKind.Right => hasR
+          case JoinKind.Full  => lit(true)
+        }
+        val ret = baseRet || (hasL && lKeyNull) || (hasR && rKeyNull)
+        val (wL, wR) = (Window.partitionBy(col(lrid)), Window.partitionBy(col(rrid)))
 
-      val hasL = col(pl).isNotNull; val hasR = col(pr).isNotNull
-      val lKeyNull = conds.map { case (a, _) => col(tl.cols(a)).isNull }
-        .reduceOption(_ || _).getOrElse(lit(false))
-      val rKeyNull = conds.map { case (_, b) => col(tr.cols(b)).isNull }
-        .reduceOption(_ || _).getOrElse(lit(false))
-
-      // retained under the *original* join type, evaluated on the traced
-      // (relaxed) inputs; rows padded because an upstream operator punched
-      // a hole (null keys from padding) are not this join's fault.
-      val baseRet = kind match {
-        case JoinKind.Inner => hasL && hasR
-        case JoinKind.Left  => hasL
-        case JoinKind.Right => hasR
-        case JoinKind.Full  => lit(true)
+        annotate(SharedTrace(df, group.map(i => i -> ls(i)._2))) { (i, tl, c) =>
+          val (j, p, tr) = (ops(i), placements(i), rs(i)._2)
+          // original-world partner existence per lineage side (baselines)
+          val wnL = (max(when(hasR && bool(col(tr.alive)), 1).otherwise(0)).over(wL) === 1) || lKeyNull
+          val wnR = (max(when(hasL && bool(col(tl.alive)), 1).otherwise(0)).over(wR) === 1) || rKeyNull
+          Traced(df, tl.cols ++ tr.cols,
+            consistent = c(coalesce(col(tl.consistent), lit(!isConstrained(j.left, p))) &&
+              coalesce(col(tr.consistent), lit(!isConstrained(j.right, p))), "consistent"),
+            // original-world survival of a pairing: both sides alive and matched
+            alive = c(bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR, "alive"),
+            tracked = tl.tracked ++ tr.tracked :+ TrackedOp(j.id, c(ret, s"ret_${j.id}")),
+            compat = tl.compat ++ tr.compat,
+            wnJoin = tl.wnJoin ++ tr.wnJoin + (j.id -> (c(wnL, s"wnL_${j.id}"), c(wnR, s"wnR_${j.id}"))),
+            tables = tl.tables ++ tr.tables)
+        }
       }
-      val retCol = nm.fresh(s"ret_$id")
-      df = df.withColumn(retCol, baseRet || (hasL && lKeyNull) || (hasR && rKeyNull))
-
-      // original-world survival of a pairing: both sides alive and matched
-      val aliveCol = nm.fresh("alive")
-      df = df.withColumn(aliveCol,
-        bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR)
-
-      // original-world partner existence per lineage side (baselines)
-      val wL = Window.partitionBy(col(lrid)); val wR = Window.partitionBy(col(rrid))
-      val (wnL, wnR) = (nm.fresh(s"wnL_$id"), nm.fresh(s"wnR_$id"))
-      df = df
-        .withColumn(wnL, (max(when(hasR && bool(col(tr.alive)), 1).otherwise(0)).over(wL) === 1) || lKeyNull)
-        .withColumn(wnR, (max(when(hasL && bool(col(tl.alive)), 1).otherwise(0)).over(wR) === 1) || rKeyNull)
-
-      val lConstrained = isConstrained(l, placement)
-      val rConstrained = isConstrained(r, placement)
-      val consCol = nm.fresh("consistent")
-      df = df.withColumn(consCol,
-        coalesce(col(tl.consistent), lit(!lConstrained)) &&
-          coalesce(col(tr.consistent), lit(!rConstrained)))
-
-      // compat flags: padded side -> not compatible for that table
-      val compat = (tl.compat ++ tr.compat).map { case (tab, c) =>
-        tab -> c
-      }
-      Traced(df, tl.cols ++ tr.cols, consCol, aliveCol,
-        tl.tracked ++ tr.tracked :+ TrackedOp(id, retCol),
-        compat, tl.wnJoin ++ tr.wnJoin + (id -> (wnL, wnR)),
-        tl.tables ++ tr.tables)
-
-    case Agg(id, groupBy, aggs, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      val keyCols = groupBy.map { case (_, a) => col(t.cols(a)) }
-      val w = if (keyCols.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keyCols: _*)
-      var df = t.df
-      val outMap = scala.collection.mutable.Map[String, String]()
-      groupBy.foreach { case (o, a) => outMap(o) = t.cols(a) }
-      aggs.foreach { spec =>
-        val pc = nm.fresh(spec.out)
-        df = df.withColumn(pc, origAggValue(spec, t, w))
-        outMap(spec.out) = pc
-      }
-      // aggregate-constraint satisfiability under full relaxation
-      var cons = col(t.consistent)
-      placement.aggChecks.getOrElse(id, Seq.empty).foreach { case (out, prim) =>
-        val spec = aggs.find(_.out == out).getOrElse(
-          throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
-        val (lo, hi) = relaxedRange(spec, t, w)
-        cons = cons && bool(satisfiable(prim, lo, hi))
-      }
-      val consCol = nm.fresh("consistent")
-      df = df.withColumn(consCol, cons)
-      t.copy(df = df, cols = outMap.toMap, consistent = consCol)
-
-    // Nesting keeps row grain in the tracer: the group members stay
-    // visible and the element constraints were already pushed to them by
-    // backtracing; the nested attribute becomes a *virtual* column that
-    // downstream projections may pass through but no predicate may read.
-    case NestRel(_, _, out, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      t.copy(virtual = t.virtual + out)
-
-    case NestTup(_, _, out, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      t.copy(virtual = t.virtual + out)
-
-    case Dedup(_, in) =>
-      go(in, catalog, placement, ts, nm, compatOverride)
-
-    case UnionOp(_, _, _) =>
-      throw new UnsupportedOperationException("tracing through union is not supported")
+    }
   }
 
   /** Conjoin primitive checks (null-safe) onto the consistency flag. */
-  private def addChecks(df: DataFrame, consistent: String,
-                        checks: Seq[(String, Nip)], nm: Namer): (DataFrame, String) =
-    if (checks.isEmpty) (df, consistent)
-    else {
-      val expr = checks.map { case (pc, n) => primColumn(n, col(pc)) }.reduce(_ && _)
-      val c2 = nm.fresh("consistent")
-      (df.withColumn(c2, col(consistent) && bool(expr)), c2)
-    }
+  private def withChecks(consistent: String, checks: Seq[(Column, Nip)], c: NewCols): String =
+    if (checks.isEmpty) consistent
+    else c(col(consistent) && bool(checks.map { case (e, n) => primColumn(n, e) }.reduce(_ && _)), "consistent")
 
   private def primColumn(n: Nip, c: Column): Column = n match {
     case NAny        => lit(true)
@@ -275,8 +323,7 @@ object Trace {
   /** The aggregate's value in the ORIGINAL pipeline: aggregate over rows
     * that survive every original operator so far (alive).
     */
-  private def origAggValue(spec: AggSpec, t: Traced,
-                           w: org.apache.spark.sql.expressions.WindowSpec): Column = {
+  private def origAggValue(spec: AggSpec, t: Traced, w: WindowSpec): Column = {
     def v = spec.expr.get.toColumn(t.resolve)
     val alive = col(t.alive)
     spec.func match {
@@ -296,8 +343,7 @@ object Trace {
   /** [lo, hi] of the aggregate over arbitrary subsets of the group's
     * traced rows — the loose "full relaxation" bounds of §5.4.
     */
-  private def relaxedRange(spec: AggSpec, t: Traced,
-                           w: org.apache.spark.sql.expressions.WindowSpec): (Column, Column) = {
+  private def relaxedRange(spec: AggSpec, t: Traced, w: WindowSpec): (Column, Column) = {
     def v = spec.expr.get.toColumn(t.resolve)
     spec.func match {
       case "count" =>

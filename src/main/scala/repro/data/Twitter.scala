@@ -38,24 +38,6 @@ object Twitter {
     val countries = Seq("US", "KR", "DE", "FR", "BR")
     val noStatus = TStatus(null, null, null)
 
-    val generic = (1 to nTweets).map { i =>
-      val u = s"user$i"
-      Tweet(
-        tid = i.toLong,
-        text = Seq("Michael Jordan highlights", "UEFA news update", "BTS comeback", "hello world")(rnd.nextInt(4)),
-        uname = u,
-        user = TUser(u, if (rnd.nextBoolean()) countries(rnd.nextInt(countries.size)) else null),
-        place = TPlace(countries(rnd.nextInt(countries.size))),
-        entities = TEntities(
-          media = if (rnd.nextBoolean()) Seq(TUrl(s"https://media.example/$i")) else Seq.empty,
-          urls = Seq(TUrl(s"https://t.co/$i"))),
-        hashtags = Seq(THashtag(Seq("#NBA", "#UEFA", "#KPop", "#Misc")(rnd.nextInt(4)))),
-        retweeted_status =
-          if (i % 3 == 0) TStatus(10000L + i, s"retweeted text $i", i.toLong) else noStatus,
-        quoted_status =
-          if (i % 4 == 0) TStatus(20000L + i, s"quoted text $i", i.toLong) else noStatus)
-    }
-
     val planted = Seq(
       // T1: famous LeBron tweet — media empty, the video url sits in
       // entities.urls; text does NOT mention Michael Jordan
@@ -84,6 +66,27 @@ object Twitter {
       Tweet(802, "this!", "rt_user2", TUser("rt_user2", "DE"), TPlace("DE"),
         TEntities(Seq.empty, Seq.empty), Seq(THashtag("#Misc")),
         TStatus(AsdStatusId, "the famous tweet text", null), noStatus))
+
+    // generated tweet i takes the i-th positive id no planted tweet has
+    val plantedIds = planted.map(_.tid).toSet
+    val genericIds = Iterator.from(1).map(_.toLong).filterNot(plantedIds).take(nTweets).toSeq
+    val generic = (1 to nTweets).zip(genericIds).map { case (i, id) =>
+      val u = s"user$i"
+      Tweet(
+        tid = id,
+        text = Seq("Michael Jordan highlights", "UEFA news update", "BTS comeback", "hello world")(rnd.nextInt(4)),
+        uname = u,
+        user = TUser(u, if (rnd.nextBoolean()) countries(rnd.nextInt(countries.size)) else null),
+        place = TPlace(countries(rnd.nextInt(countries.size))),
+        entities = TEntities(
+          media = if (rnd.nextBoolean()) Seq(TUrl(s"https://media.example/$i")) else Seq.empty,
+          urls = Seq(TUrl(s"https://t.co/$i"))),
+        hashtags = Seq(THashtag(Seq("#NBA", "#UEFA", "#KPop", "#Misc")(rnd.nextInt(4)))),
+        retweeted_status =
+          if (i % 3 == 0) TStatus(10000L + i, s"retweeted text $i", i.toLong) else noStatus,
+        quoted_status =
+          if (i % 4 == 0) TStatus(20000L + i, s"quoted text $i", i.toLong) else noStatus)
+    }
 
     val mentions = (Seq(Mention("famous_user")) ++
       (1 to 40).map(i => Mention(s"user${rnd.nextInt(nTweets) + 1}"))).distinct

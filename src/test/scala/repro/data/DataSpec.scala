@@ -2,6 +2,7 @@ package repro.data
 
 import repro.{SparkSpec, SynthData}
 import repro.nrab.NestedSchemas
+import repro.scenarios.TwitterScenarios
 
 /** Sanity checks for the synthetic data generators (DESIGN.md §4):
   * determinism, planted witnesses, nested-structure registration.
@@ -66,6 +67,24 @@ class DataSpec extends SparkSpec {
     val t = Twitter.tables(spark)
     assert(t("tweets").filter(s"retweeted_status.sid = ${Twitter.AsdStatusId}").count() == 2)
     assert(t("tweets").filter(s"quoted_status.sid = ${Twitter.AsdStatusId}").count() == 0)
+  }
+
+  test("Twitter tweet ids stay unique when generated tweets reach the planted ids") {
+    val tweets = Twitter.tables(spark, nTweets = 2000)("tweets")
+    assert(tweets.select("tid").distinct().count() == tweets.count())
+    assert(tweets.filter(s"tid = ${Twitter.T1TweetId}").count() == 1)
+  }
+
+  test("T1 expectations hold at 2 000 tweets on seeds 1-5") {
+    (1 to 5).foreach { seed =>
+      val t = Twitter.tables(spark, nTweets = 2000, seed = seed)
+      val s = TwitterScenarios.t1(t)
+      val r = s.runAll()
+      assert(r.wn == s.expectedWn, s"seed $seed WN++: ${r.wn}")
+      assert(r.rpNoSa == s.expectedRpNoSa, s"seed $seed RPnoSA: ${r.rpNoSa}")
+      assert(r.rp == s.expectedRp, s"seed $seed RP: ${r.rp}")
+      t.values.foreach(_.unpersist())
+    }
   }
 
   test("Crime keeps Roger's and Conedera's looks unique to the planted sightings") {

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{AltGroup, Explain, Question}
+import repro.core.{AltGroup, Explain, Question, UntraceableOpException}
 import repro.data.Person
 import repro.nrab._
 import repro.whynot._
@@ -100,5 +100,19 @@ class PlanImportSpec extends SparkSpec {
     val sigma = op.allOps.collectFirst { case s: Selection => s.id }.get
     val flat = op.allOps.collectFirst { case f: FlattenRel => f.id }.get
     assert(rp.map(_.ops) == Seq(Set(sigma), Set(flat, sigma)))
+  }
+
+  test("explaining an imported UNION query fails with the union's operator id") {
+    personView()
+    val person = spark.table("person")
+    val df = person.filter(col("name") === "Sue").select("name")
+      .union(person.filter(col("name") === "Peter").select("name"))
+    val op = PlanImport(df)
+    val union = op.allOps.collectFirst { case u: UnionOp => u.id }.get
+    val e = intercept[UntraceableOpException] {
+      Explain.rp(Question(op, Map("person" -> Person.table(spark)), Nip.tup("name" -> NConst("Bob"))))
+    }
+    assert(e.opId == union)
+    assert(e.getMessage.contains(s"∪$union"))
   }
 }
