@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.core.Explain
 import repro.scenarios.Tables
 
 /** Shared session builder for the spark-submit entrypoints. */
@@ -65,7 +66,18 @@ object ExplainJob {
     val s = all.find(_.name.equalsIgnoreCase(args(0))).getOrElse(
       sys.error(s"unknown scenario ${args(0)}; have ${all.map(_.name).mkString(", ")}"))
     println(s"${s.name}: ${s.description}")
-    val r = s.runAll()
+    val sol = s.solve()
+    sol.sas.zipWithIndex.foreach { case (sa, i) =>
+      val hist = sol.failSets.getOrElse(i, Seq.empty)
+      val swaps = sa.assignment.filter { case (k, v) => k != v }
+      println(s"SA ${sa.index} ${swaps.mkString("{", ", ", "}")}: ${hist.map(_._2).sum} consistent witness rows, " +
+        s"${hist.size} distinct fail-sets")
+    }
+    sol.deaths.foreach { d =>
+      println(s"WN++ death of ${d.table}: at ${Explain.labelOf(s.question.query, d.deathOp)}, " +
+        s"${d.failSets.size} distinct fail-sets")
+    }
+    val r = s.resultOf(sol)
     println(s"WN++:   ${r.wn.mkString("  ")}")
     println(s"RPnoSA: ${r.rpNoSa.mkString("  ")}")
     println(s"RP:     ${r.rp.mkString("  ")}")

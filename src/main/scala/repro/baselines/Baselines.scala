@@ -1,13 +1,13 @@
 package repro.baselines
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.nrab._
 
-/** Lineage-based missing-answer baselines, re-implemented on top of the
-  * tracer's annotations (evaluated over the ORIGINAL query — no schema
-  * alternatives, no revalidation of compatibles):
+/** Lineage-based missing-answer baselines, read from the original query's
+  * lane (SA 0) of the RP trace (no schema alternatives, no revalidation of
+  * compatibles): their death probes are counted by the same Spark job as
+  * lane 0's witness fail-sets ([[Explain.solve]]).
   *
   *  - [[Baselines.wnPlusPlus]] — the paper's WN++: Why-Not [9] extended to
   *    scale and to nested data. Compatible source tuples are traced
@@ -31,98 +31,70 @@ import repro.nrab._
 object Baselines {
 
   /** WN++ explanations: zero or one operator set. */
-  def wnPlusPlus(q: Question): Seq[Set[Int]] = frontier(q).toSeq
+  def wnPlusPlus(q: Question): Seq[Set[Int]] = frontier(deaths(q)).toSeq
 
   /** Why-Not [9] baseline (crime-scenario comparison, §6.4). */
-  def whyNot(q: Question): Option[Set[Int]] = frontier(q)
+  def whyNot(q: Question): Option[Set[Int]] = frontier(deaths(q))
 
   /** Conseil [19] baseline: combined picky set of the compatible that
     * survived longest.
     */
-  def conseil(q: Question): Option[Set[Int]] = {
-    val d = deaths(q)
-    if (d.isEmpty) None
-    else {
-      val best = d.minBy(_.deathPos)
-      Some(best.failSets.minBy(s => (s.size, s.toSeq.sorted.mkString)))
-    }
-  }
+  def conseil(q: Question): Option[Set[Int]] =
+    deaths(q).minByOption(_.deathPos).map(_.failSets.minBy(s => (s.size, s.toSeq.sorted.mkString)))
 
-  private def frontier(q: Question): Option[Set[Int]] = {
-    val d = deaths(q)
-    if (d.isEmpty) None else Some(Set(d.minBy(_.deathPos).deathOp))
-  }
+  /** The death operator of the longest-surviving compatible (WN++, Why-Not). */
+  private[repro] def frontier(deaths: Seq[Death]): Option[Set[Int]] =
+    deaths.minByOption(_.deathPos).map(d => Set(d.deathOp))
 
   /** Death summary for one traced table: the most downstream death
     * position/operator among its compatibles, and the distinct full
     * failure sets of the rows dying there (for Conseil).
     */
-  private final case class Death(table: String, deathPos: Int, deathOp: Int,
-                                 failSets: Seq[Set[Int]])
+  final case class Death(table: String, deathPos: Int, deathOp: Int, failSets: Seq[Set[Int]])
 
-  private def deaths(q: Question): Seq[Death] = {
-    val ts = q.tableSchemas
-    val placement = Placement.backtrace(q.query, q.nip, ts)
-    val traced = Trace.trace(q.query, q.tables, placement, ts, q.baselineCompat)
+  private def deaths(q: Question): Seq[Death] =
+    Explain.solve(q, Seq(Explain.originalSa(q)), withWn = true).deaths
 
+  /** One death probe per traced table T over the original query's lane
+    * ``traced``, keyed by lane -(k+1) for the k-th table: its rows are T's
+    * compatibles and its flags those of the tracked operators on T's
+    * lineage path (for a join, T's side's original-world partner flag).
+    */
+  private[repro] def probes(q: Question, placement: Placement, traced: Traced): Seq[(String, FailProbe)] = {
     val allTables = q.query.allOps.collect { case TableAccess(_, n) => n }.distinct
     val traceTables = q.wnTraceTables.getOrElse {
       val constrained = allTables.filter(placement.constrainedTables.contains)
       if (constrained.nonEmpty) constrained else allTables
     }
+    def reads(op: Op, table: String) = op.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
 
-    val pos = q.query.allOps.map(_.id).zipWithIndex.toMap
-    val joinsById = q.query.allOps.collect { case j: Join => j.id -> j }.toMap
-
-    traceTables.flatMap { table =>
-      val compatCol = traced.compat.get(table)
-      if (compatCol.isEmpty) None
-      else {
-        // tracked ops on this table's lineage path, with the flag to use
-        val pathFlags: Seq[(Int, Column)] = traced.tracked.flatMap { t =>
-          val op = q.query.find(t.opId).get
-          val onPath = op.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
-          if (!onPath) None
-          else joinsById.get(t.opId) match {
-            case Some(j) =>
-              val leftHas = j.left.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
-              val (wl, wr) = traced.wnJoin(t.opId)
-              Some(t.opId -> coalesce(col(if (leftHas) wl else wr), lit(false)))
-            case None =>
-              Some(t.opId -> coalesce(col(t.retCol), lit(false)))
-          }
+    traceTables.zipWithIndex.flatMap { case (table, k) =>
+      val path = traced.tracked.flatMap { t =>
+        q.query.find(t.opId).get match {
+          case op if !reads(op, table) => None
+          case j: Join =>
+            val (wl, wr) = traced.wnJoin(j.id)
+            Some(j.id -> col(if (reads(j.left, table)) wl else wr))
+          case _ => Some(t.opId -> col(t.retCol))
         }
-        if (pathFlags.isEmpty) None
-        else {
-          // per row: position of the FIRST failing op in evaluation order
-          // (the deepest in the tree = the largest pre-order position)
-          val failPositions = pathFlags.map { case (id, ok) =>
-            when(!ok, lit(pos(id))).otherwise(lit(-1))
-          }
-          val deathPos =
-            if (failPositions.size == 1) failPositions.head
-            else greatest(failPositions: _*)
+      }
+      traced.compat.get(table).filter(_ => path.nonEmpty).map(c => table -> FailProbe(-(k + 1), col(c), path))
+    }
+  }
 
-          val flagCols = pathFlags.map { case (id, ok) => ok.as(s"__f_$id") }
-          val rows = traced.df
-            .filter(coalesce(col(compatCol.get), lit(false)))
-            .select(flagCols :+ deathPos.as("__death"): _*)
-            .filter(col("__death") >= 0)
-            .groupBy((pathFlags.map { case (id, _) => col(s"__f_$id") } :+ col("__death")): _*)
-            .count()
-            .collect()
-
-          if (rows.isEmpty) None
-          else {
-            val minDeath = rows.map(_.getAs[Int]("__death")).min
-            val dyingRows = rows.filter(_.getAs[Int]("__death") == minDeath)
-            val failSets = dyingRows.map { r =>
-              pathFlags.zipWithIndex.collect { case ((id, _), i) if !r.getBoolean(i) => id }.toSet
-            }.toSeq.distinct
-            val deathOp = pos.collectFirst { case (id, p) if p == minDeath => id }.get
-            Some(Death(table, minDeath, deathOp, failSets))
-          }
-        }
+  /** The deaths the ``probes`` counted into ``failSets``. A compatible dies
+    * at the first failing operator of its path in evaluation order, the
+    * one with the largest pre-order position in its failed set; rows with
+    * an empty failed set never died.
+    */
+  private[repro] def deaths(q: Question, probes: Seq[(String, FailProbe)],
+                            failSets: Map[Int, Seq[(Set[Int], Long)]]): Seq[Death] = {
+    val ops = q.query.allOps
+    val pos = ops.map(_.id).zipWithIndex.toMap
+    probes.flatMap { case (table, p) =>
+      val died = failSets.getOrElse(p.lane, Seq.empty).collect { case (s, _) if s.nonEmpty => s.map(pos).max -> s }
+      died.map(_._1).minOption.map { at =>
+        Death(table, at, ops(at).id, died.collect { case (`at`, s) => s }.distinct)
       }
     }
   }

@@ -54,8 +54,9 @@ final case class Traced(
   */
 final case class SharedTrace(df: DataFrame, lanes: Seq[(Int, Traced)])
 
-/** The tracer does not support operator ``opId`` of the query; raised by
-  * a check of the whole query before any DataFrame is built.
+/** The tracer does not support operator ``opId`` of the query. For union
+  * it is raised where the query enters the system ([[Question]]), before
+  * any DataFrame is built.
   */
 final class UntraceableOpException(val opId: Int, msg: String) extends UnsupportedOperationException(msg)
 
@@ -88,12 +89,9 @@ object Trace {
     new Tracer(sas.map(_._2).toIndexedSeq, catalog, tableSchemas, compatOverride).go(queries)
   }
 
-  /** Reject what the tracer cannot trace before any DataFrame is built. */
+  /** Reject inputs that are not the aligned trees of one query. */
   private def check(queries: IndexedSeq[Op]): Unit = {
     require(queries.nonEmpty, "no query to trace")
-    queries.head.allOps.collectFirst { case u: UnionOp => u }.foreach { u =>
-      throw new UntraceableOpException(u.id, s"tracing through union is not supported (${u.label})")
-    }
     def shape(q: Op) = q.allOps.map(o => (o.id, o.getClass))
     require(queries.forall(q => shape(q) == shape(queries.head)),
       "schema alternatives must share the operator tree of the query")

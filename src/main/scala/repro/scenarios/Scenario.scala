@@ -1,7 +1,7 @@
 package repro.scenarios
 
 import repro.baselines.Baselines
-import repro.core.{Explain, Explanation, Question}
+import repro.core.{Explain, Explanation, Question, Solution}
 
 /** One evaluation scenario (paper Tables 4/5/6/9/10): a why-not question
   * plus the paper's published expectations so the table-reproduction
@@ -29,19 +29,26 @@ final case class Scenario(
 
   def runRp(): Seq[Explanation] = Explain.rp(question)
   def runRpNoSa(): Seq[Explanation] = Explain.rpNoSA(question)
-  def runWn(): Seq[Set[String]] =
-    Baselines.wnPlusPlus(question).map(_.map(Explain.labelOf(question.query, _)))
-  def runWhyNot(): Option[Set[String]] =
-    Baselines.whyNot(question).map(_.map(Explain.labelOf(question.query, _)))
-  def runConseil(): Option[Set[String]] =
-    Baselines.conseil(question).map(_.map(Explain.labelOf(question.query, _)))
+  def runWn(): Seq[Set[String]] = Baselines.wnPlusPlus(question).map(labels)
+  def runWhyNot(): Option[Set[String]] = Baselines.whyNot(question).map(labels)
+  def runConseil(): Option[Set[String]] = Baselines.conseil(question).map(labels)
+
+  /** One trace of all schema alternatives, answering all three approaches. */
+  def solve(): Solution = Explain.solve(question, Explain.schemaAlts(question), withWn = true)
 
   /** All three approaches, as label sets in rank order. */
-  def runAll(): ScenarioResult = ScenarioResult(
+  def runAll(): ScenarioResult = resultOf(solve())
+
+  /** The three approaches' label sets read from ``s``: RP from every lane,
+    * RPnoSA from lane 0 and WN++ from lane 0's death probes.
+    */
+  def resultOf(s: Solution): ScenarioResult = ScenarioResult(
     name,
-    wn = runWn(),
-    rpNoSa = runRpNoSa().map(_.labels),
-    rp = runRp().map(_.labels))
+    wn = Baselines.frontier(s.deaths).toSeq.map(labels),
+    rpNoSa = s.rpNoSA.map(_.labels),
+    rp = s.rp.map(_.labels))
+
+  private def labels(ops: Set[Int]): Set[String] = ops.map(Explain.labelOf(question.query, _))
 }
 
 /** Measured explanation sets for one scenario. */

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkCounts, SparkSpec}
 import repro.data.Person
 import repro.nrab._
 import repro.whynot._
@@ -54,6 +54,16 @@ class ExplainEdgeSpec extends SparkSpec {
       Explain.rpNoSA(q(Nip.tup("city" -> NConst("NY"), "nList" -> NAny))
         .copy(query = u))
     }
+  }
+
+  test("a union query is rejected when its Question is built, before any Spark job") {
+    val tables = Map("person" -> Person.table(spark))
+    val nip = Nip.tup("city" -> NConst("NY"), "nList" -> NAny)
+    val (e, jobs) = SparkCounts.jobs(spark)(intercept[UntraceableOpException] {
+      Question(UnionOp(5, query, query), tables, nip)
+    })
+    assert(e.opId == 5)
+    assert(jobs == 0)
   }
 
   test("an outer flatten is never blamed for pruning") {

@@ -1,12 +1,15 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.nrab._
+import repro.scenarios.Tables
+import repro.whynot.{NAny, Nip}
 
 /** Unit tests for schema-alternative enumeration, substitution and
-  * pruning (paper §5.2 / Figure 3) — data-independent, no Spark needed.
+  * pruning (paper §5.2 / Figure 3) — data-independent; only the scenario
+  * invariant below builds Spark tables.
   */
-class SchemaAltsSpec extends AnyFunSuite {
+class SchemaAltsSpec extends SparkSpec {
 
   NestedSchemas.register("t", "arr1", Seq("x", "y"), "rel")
   NestedSchemas.register("t", "arr2", Seq("x", "y"), "rel")
@@ -105,5 +108,23 @@ class SchemaAltsSpec extends AnyFunSuite {
   test("original alternative always sorts first") {
     val sas = SchemaAlts.enumerate(q, Seq(AltGroup(Seq("t.arr1", "t.arr2"))), ts)
     assert(sas.head.index == 0 && sas.head.isOriginal)
+  }
+
+  test("every scenario: SA 0 is the identity assignment with an empty SR") {
+    // Explain.rank and the lane-0 reads of RPnoSA and WN++ rely on it
+    val all = Tables.scenarios(spark)
+    assert(all.size == 25)
+    all.foreach { s =>
+      val sa0 = Explain.schemaAlts(s.question).head
+      assert(sa0.index == 0 && sa0.isOriginal && sa0.sr.isEmpty, s.name)
+    }
+  }
+
+  test("solving schema alternatives that do not start with the original is rejected") {
+    val groups = Seq(AltGroup(Seq("t.arr1", "t.arr2")))
+    val question = Question(q, Map.empty, Nip.tup("a" -> NAny, "y" -> NAny), groups)
+    val sas = SchemaAlts.enumerate(q, groups, ts)
+    intercept[OriginalSaException](Explain.solve(question, sas.reverse, withWn = false))
+    intercept[OriginalSaException](Explain.solve(question, Seq.empty, withWn = true))
   }
 }
